@@ -659,13 +659,10 @@ func (s *muxSession) do(t wire.MsgType, payload []byte, wantType wire.MsgType, t
 	start := time.Now()
 	select {
 	case s.window <- struct{}{}:
-	case <-s.readerDone:
-		return nil, s.failure()
-	case <-time.After(timeout):
-		// The in-flight window stayed full for the whole timeout. The
-		// conn itself may be fine (slow server, saturated window), so
-		// fail only this request.
-		return nil, &requestTimeout{errors.New("client: in-flight window full")}
+	default:
+		if err := s.waitWindow(timeout); err != nil {
+			return nil, err
+		}
 	}
 	defer func() { <-s.window }()
 
@@ -712,6 +709,25 @@ func (s *muxSession) do(t wire.MsgType, payload []byte, wantType wire.MsgType, t
 			return nil, cf
 		}
 		return nil, &requestTimeout{errors.New("client: request timed out")}
+	}
+}
+
+// waitWindow blocks for an in-flight slot for at most timeout. Only a
+// full window reaches it, and its timer is stopped on return: a timer
+// armed on every request would stay live for the whole timeout.
+func (s *muxSession) waitWindow(timeout time.Duration) error {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case s.window <- struct{}{}:
+		return nil
+	case <-s.readerDone:
+		return s.failure()
+	case <-timer.C:
+		// The in-flight window stayed full for the whole timeout. The
+		// conn itself may be fine (slow server, saturated window), so
+		// fail only this request.
+		return &requestTimeout{errors.New("client: in-flight window full")}
 	}
 }
 

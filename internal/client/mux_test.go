@@ -8,6 +8,7 @@ package client
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -384,5 +385,56 @@ func TestMuxWindowRespectsServerClamp(t *testing.T) {
 	wg.Wait()
 	if got := maxInFlight.Load(); got > 1 {
 		t.Errorf("observed %d concurrent requests, want at most the acked window of 1", got)
+	}
+}
+
+// TestMuxRequestsLeaveNoLiveTimers pins the window-acquire fast path: a
+// request that finds a free slot arms no timer, so sequential requests
+// under a long timeout leave nothing behind on the heap. Arming one per
+// request (time.After) kept every timer live for the full hour.
+func TestMuxRequestsLeaveNoLiveTimers(t *testing.T) {
+	addr := scriptServer(t, func(i int, conn net.Conn) {
+		if !expectHello(t, conn, 0) {
+			return
+		}
+		for {
+			id, typ, payload, err := wire.ReadFrameV2(conn)
+			if err != nil || typ != wire.TypeQueryReq {
+				return
+			}
+			resp, err := queryRespFor(payload)
+			if err != nil {
+				return
+			}
+			if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.Encode()); err != nil {
+				return
+			}
+		}
+	})
+	c, err := Dial(addr, Options{Timeout: time.Hour, MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	query := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := c.Query(1, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heapObjects := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	query(100) // warm pools and the session
+	before := heapObjects()
+	const n = 5000
+	query(n)
+	after := heapObjects()
+	if after > before && after-before > n/5 {
+		t.Errorf("heap grew by %d objects over %d requests; per-request state is being retained", after-before, n)
 	}
 }

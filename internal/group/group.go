@@ -159,11 +159,6 @@ func (g *Group) Exp(base, exp *big.Int) *big.Int {
 	return new(big.Int).Exp(base, exp, g.P)
 }
 
-// Pow returns G^exp mod P.
-func (g *Group) Pow(exp *big.Int) *big.Int {
-	return g.Exp(g.G, exp)
-}
-
 // Mul returns a*b mod P.
 func (g *Group) Mul(a, b *big.Int) *big.Int {
 	v := new(big.Int).Mul(a, b)
@@ -184,12 +179,16 @@ func (g *Group) RandScalar(rng io.Reader) (*big.Int, error) {
 }
 
 // IsElement reports whether x is in the order-Q subgroup (a quadratic
-// residue mod P other than 0).
+// residue mod P other than 0). For a safe prime P = 2Q+1 the order-Q
+// subgroup is exactly the set of quadratic residues, so Euler's criterion
+// x^Q ≡ 1 (mod P) holds iff the Legendre symbol (x/P) is 1; the Jacobi
+// symbol computes it in a GCD-like pass instead of a full exponentiation.
+// Validate establishes that P is a prime of the form 2Q+1.
 func (g *Group) IsElement(x *big.Int) bool {
 	if x == nil || x.Sign() <= 0 || x.Cmp(g.P) >= 0 {
 		return false
 	}
-	return new(big.Int).Exp(x, g.Q, g.P).Cmp(one) == 0
+	return big.Jacobi(x, g.P) == 1
 }
 
 // ElementLen returns the byte length of a serialized group element.

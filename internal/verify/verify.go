@@ -48,7 +48,8 @@ var ErrMalformed = errors.New("verify: malformed authentication information")
 
 // Verifier runs the protocol over a fixed group. Safe for concurrent use.
 type Verifier struct {
-	grp *group.Group
+	grp  *group.Group
+	comb *group.Comb // fixed-base table for Auth's p^s
 }
 
 // New constructs a Verifier. A nil group selects the standard 2048-bit one.
@@ -59,7 +60,7 @@ func New(grp *group.Group) (*Verifier, error) {
 	if err := grp.Validate(); err != nil {
 		return nil, fmt.Errorf("verify: bad group: %w", err)
 	}
-	return &Verifier{grp: grp}, nil
+	return &Verifier{grp: grp, comb: grp.NewComb()}, nil
 }
 
 // Group returns the underlying group.
@@ -88,7 +89,7 @@ func (v *Verifier) Auth(key []byte, id profile.ID, rng io.Reader) ([]byte, error
 		return nil, fmt.Errorf("verify: sampling secret: %w", err)
 	}
 	// t1 = p^s, t2 = H(p^{s * ID}) = H(t1^ID).
-	t1 := v.grp.Pow(s)
+	t1 := v.comb.Pow(s)
 	t2 := v.tag(t1, id)
 	payload := append(v.grp.EncodeElement(t1), t2...)
 	return v.seal(key, payload, rng)

@@ -1,7 +1,11 @@
 package verify
 
 import (
+	"bytes"
+	crand "crypto/rand"
 	"errors"
+	"math/big"
+	mrand "math/rand"
 	"sync"
 	"testing"
 
@@ -219,6 +223,63 @@ func BenchmarkVerify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := v.Verify(keyAlice, 42, ciph); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestAuthMatchesVariableBaseExp pins the fixed-base comb to the
+// variable-base exponentiation it replaced: under the same random stream,
+// Auth's t1 is exactly G^s from big.Int.Exp.
+func TestAuthMatchesVariableBaseExp(t *testing.T) {
+	v := testVerifier(t)
+	grp := v.Group()
+	s, err := grp.RandScalar(mrand.New(mrand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ciph, err := v.Auth(keyAlice, 42, mrand.New(mrand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ok := v.open(keyAlice, ciph)
+	if !ok {
+		t.Fatal("own blob failed to open")
+	}
+	want := grp.EncodeElement(new(big.Int).Exp(grp.G, s, grp.P))
+	if !bytes.Equal(payload[:grp.ElementLen()], want) {
+		t.Error("Auth's t1 differs from big.Int.Exp(G, s, P)")
+	}
+}
+
+// TestVerifyOldNewCrossCheck seals blobs by hand: one whose t1 came from
+// big.Int.Exp must verify, and one whose t1 is a quadratic non-residue
+// (P-1) must be rejected even though its tag and MAC are consistent.
+func TestVerifyOldNewCrossCheck(t *testing.T) {
+	v := testVerifier(t)
+	grp := v.Group()
+	s, err := grp.RandScalar(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		t1   *big.Int
+		want bool
+	}{
+		{"Exp t1", new(big.Int).Exp(grp.G, s, grp.P), true},
+		{"non-residue t1", new(big.Int).Sub(grp.P, big.NewInt(1)), false},
+	} {
+		payload := append(grp.EncodeElement(tc.t1), v.tag(tc.t1, 42)...)
+		ciph, err := v.seal(keyAlice, payload, crand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, err := v.Verify(keyAlice, 42, ciph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != tc.want {
+			t.Errorf("%s: Verify = %v, want %v", tc.name, ok, tc.want)
 		}
 	}
 }
