@@ -29,7 +29,7 @@
 // smatch tooling does this automatically) get a pipelined connection:
 // up to -pipeline-depth requests in flight at once, handled by a worker
 // pool and answered out of order by request ID. v1 clients are served
-// lockstep, byte-for-byte as before.
+// by the same engine one request at a time, byte-for-byte as before.
 //
 // v2 clients can also register standing push subscriptions
 // (smatch-client -cmd subscribe): when an uploaded profile lands within a

@@ -10,34 +10,38 @@
 // multiplexer: concurrent callers share it, each request carries a
 // 64-bit ID, and a reader goroutine routes responses back by ID — so a
 // slow query does not block an OPRF round behind it. Against a v1
-// server (which answers the hello with an error frame, or closes) the
-// client falls back to the legacy lockstep exchange, byte-for-byte the
-// protocol this package has always spoken.
+// server (which answers the hello with an error frame, or closes before
+// answering) the same session runs in v1 framing with a window of one
+// request: each inbound frame answers the one request in flight,
+// byte-for-byte the lockstep protocol this package has always spoken.
 //
 // The transport is resilient in the way a mobile device has to be: any
 // I/O error or stream desync marks the connection broken (it is never
 // reused, so an aborted response can't bleed into the next request), the
 // next request transparently redials, and idempotent requests — query,
 // OPRF, remove — are retried a bounded number of times with jittered
-// exponential backoff. On a multiplexed connection a request timeout
-// poisons the connection only when the conn has been completely silent
-// since the request started; if other responses kept arriving, only the
-// one request fails (retryably) and every other caller keeps its
-// connection. Uploads are not idempotent over this protocol (a duplicate
-// is observable server-side), so they surface the error and let the
-// caller decide.
+// exponential backoff. On a v2 connection a request timeout poisons the
+// connection only when the conn has been completely silent since the
+// request started; if other responses kept arriving, only the one request
+// fails (retryably) and every other caller keeps its connection. On a v1
+// connection a timeout always poisons it: a late v1 response could not
+// be told apart from the next request's. Uploads are not idempotent
+// over this protocol (a duplicate is observable server-side), so they
+// surface the error and let the caller decide.
 package client
 
 import (
 	"crypto/tls"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"math/rand/v2"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"smatch/internal/match"
@@ -62,7 +66,7 @@ type Conn struct {
 	opts  Options
 
 	mu     sync.Mutex
-	sess   session // nil until (re)connected
+	sess   *muxSession // nil until (re)connected
 	closed bool
 	dialed bool // a session has existed; later dials count as reconnects
 	noV2   bool // server rejected the hello; don't offer it again
@@ -95,7 +99,8 @@ type Options struct {
 	// server may negotiate it down in the hello exchange. Zero means 32.
 	MaxInFlight int
 	// DisablePipeline skips the v2 hello entirely and speaks the legacy
-	// lockstep protocol, exactly as pre-pipelining clients did.
+	// v1 protocol, one request at a time, exactly as pre-pipelining
+	// clients did.
 	DisablePipeline bool
 	// Metrics, when non-nil, receives the client_* resilience counters
 	// (broken connections, reconnects, retries) — e.g. from a load
@@ -133,24 +138,6 @@ func (o Options) withDefaults() Options {
 		o.MaxInFlight = 65535 // the hello carries it as a uint16
 	}
 	return o
-}
-
-// session is the transport behind one dialed connection: either the v1
-// lockstep exchange or the v2 request multiplexer. A session that breaks
-// is discarded whole; Conn dials a replacement on the next request.
-type session interface {
-	// do performs one request/response. It returns the response payload,
-	// or: a server-reported error (healthy stream), a *connFailure (the
-	// session is poisoned), or a *requestTimeout (this request gave up
-	// but the session remains usable).
-	do(t wire.MsgType, payload []byte, want wire.MsgType, timeout time.Duration) ([]byte, error)
-	// abandon poisons the session from outside the round-trip path (e.g.
-	// a response that decodes but belongs to a different query).
-	abandon()
-	// broken reports whether the session has been poisoned.
-	broken() bool
-	// close releases the session's conn and any goroutines.
-	close()
 }
 
 // Dial connects to an S-MATCH server and negotiates the protocol. addr
@@ -218,7 +205,7 @@ func (c *Conn) dialTLSAddr(dial func(network, addr string) (net.Conn, error), ad
 
 // getSession returns the live session, dialing (and negotiating the
 // protocol) if the previous one broke or none exists yet.
-func (c *Conn) getSession() (session, error) {
+func (c *Conn) getSession() (*muxSession, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -247,18 +234,20 @@ func (c *Conn) getSession() (session, error) {
 
 // negotiate dials and establishes a session. Unless pipelining is off it
 // offers v2 with a hello frame (still in v1 framing): a TypeHelloResp
-// upgrades the connection to a multiplexer; a TypeError is a v1 server
-// politely declining, so the same connection continues in lockstep; a
-// closed connection is a v1 server that drops unknown frame types, so we
-// redial once and speak lockstep. Either rejection is remembered —
-// later redials skip the wasted round trip.
-func (c *Conn) negotiate() (session, error) {
+// upgrades the connection to v2 framing; a TypeError is a v1 server
+// politely declining, so the same connection continues in v1; a close
+// before any byte of an answer is a v1 server that drops unknown frame
+// types, so we redial once and speak v1. Either rejection is remembered —
+// later redials skip the wasted round trip. Any other failure (an ack
+// that is late or torn) says nothing about the server's version: it is a
+// connFailure, and the next dial offers v2 again.
+func (c *Conn) negotiate() (*muxSession, error) {
 	tc, err := c.dialTLS()
 	if err != nil {
 		return nil, err
 	}
 	if c.opts.DisablePipeline || c.noV2 {
-		return &lockstepSession{conn: tc, metrics: c.opts.Metrics}, nil
+		return newMuxSession(tc, true, 1, c.opts.Metrics), nil
 	}
 	_ = tc.SetDeadline(time.Now().Add(c.opts.Timeout))
 	hello := wire.Hello{Version: wire.ProtocolV2, Depth: uint16(c.opts.MaxInFlight)}
@@ -266,16 +255,19 @@ func (c *Conn) negotiate() (session, error) {
 		tc.Close()
 		return nil, &connFailure{fmt.Errorf("client: sending hello: %w", err)}
 	}
-	t, payload, err := wire.ReadFrame(tc)
+	in := &countingReader{r: tc}
+	t, payload, err := wire.ReadFrame(in)
 	if err != nil {
-		// v1 servers that drop unknown frame types close the conn.
 		tc.Close()
+		if in.n > 0 || !(errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET)) {
+			return nil, &connFailure{fmt.Errorf("client: reading hello ack: %w", err)}
+		}
+		// Closed without a word: a v1 server that drops unknown frame types.
 		c.noV2 = true
-		tc, err = c.dialTLS()
-		if err != nil {
+		if tc, err = c.dialTLS(); err != nil {
 			return nil, err
 		}
-		return &lockstepSession{conn: tc, metrics: c.opts.Metrics}, nil
+		return newMuxSession(tc, true, 1, c.opts.Metrics), nil
 	}
 	_ = tc.SetDeadline(time.Time{})
 	switch t {
@@ -289,16 +281,29 @@ func (c *Conn) negotiate() (session, error) {
 		if d := int(ack.Depth); d > 0 && d < window {
 			window = d
 		}
-		return newMuxSession(tc, window, c.opts.Metrics), nil
+		return newMuxSession(tc, false, window, c.opts.Metrics), nil
 	case wire.TypeError:
 		// A v1 server answers an unknown type with an error frame and
-		// keeps the stream in sync: continue on this conn in lockstep.
+		// keeps the stream in sync: continue on this conn in v1.
 		c.noV2 = true
-		return &lockstepSession{conn: tc, metrics: c.opts.Metrics}, nil
+		return newMuxSession(tc, true, 1, c.opts.Metrics), nil
 	default:
 		tc.Close()
 		return nil, &connFailure{fmt.Errorf("client: unexpected hello response type %d", t)}
 	}
+}
+
+// countingReader counts the bytes read through it: negotiate uses it to
+// tell a server that hung up on the hello from one that began to answer.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
 }
 
 // Close shuts the connection down; subsequent requests fail with ErrClosed.
@@ -336,7 +341,7 @@ func isConnFailure(err error) bool {
 	return errors.As(err, &cf)
 }
 
-// requestTimeout marks a request that gave up waiting on a multiplexed
+// requestTimeout marks a request that gave up waiting on a v2
 // connection that is demonstrably still alive (responses to other
 // requests kept arriving): the session stays usable, and idempotent
 // requests may be retried on it.
@@ -438,82 +443,22 @@ func interpret(respType wire.MsgType, payload []byte, wantType wire.MsgType) ([]
 	return payload, nil
 }
 
-// lockstepSession is the legacy v1 transport: one request/response at a
-// time, concurrent callers serialized on the session mutex.
-type lockstepSession struct {
-	conn    *tls.Conn
-	metrics *metrics.Registry
-
-	mu   sync.Mutex
-	dead bool
-}
-
-func (s *lockstepSession) do(t wire.MsgType, payload []byte, wantType wire.MsgType, timeout time.Duration) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead {
-		return nil, &connFailure{errors.New("client: connection broken")}
-	}
-	resp, err := s.exchange(t, payload, wantType, timeout)
-	if isConnFailure(err) {
-		s.poisonLocked()
-	}
-	return resp, err
-}
-
-func (s *lockstepSession) exchange(t wire.MsgType, payload []byte, wantType wire.MsgType, timeout time.Duration) ([]byte, error) {
-	if err := s.conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, &connFailure{fmt.Errorf("client: setting deadline: %w", err)}
-	}
-	if err := wire.WriteFrame(s.conn, t, payload); err != nil {
-		return nil, &connFailure{err}
-	}
-	respType, respPayload, err := wire.ReadFrame(s.conn)
-	if err != nil {
-		return nil, &connFailure{fmt.Errorf("client: reading response: %w", err)}
-	}
-	return interpret(respType, respPayload, wantType)
-}
-
-func (s *lockstepSession) poisonLocked() {
-	if s.dead {
-		return
-	}
-	s.dead = true
-	s.conn.Close()
-	if s.metrics != nil {
-		s.metrics.ClientBrokenConns.Add(1)
-	}
-}
-
-func (s *lockstepSession) abandon() {
-	s.mu.Lock()
-	s.poisonLocked()
-	s.mu.Unlock()
-}
-
-func (s *lockstepSession) broken() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dead
-}
-
-func (s *lockstepSession) close() {
-	s.mu.Lock()
-	s.dead = true
-	s.conn.Close()
-	s.mu.Unlock()
-}
-
-// muxSession is the v2 transport: requests from concurrent callers are
-// written (under a write mutex) with unique IDs, and a single reader
-// goroutine routes response frames back to waiting callers by ID.
+// muxSession is the transport behind one dialed connection: requests
+// from concurrent callers are written under a write mutex, and a single
+// reader goroutine routes response frames back to the waiting callers.
+// In v2 framing every request carries a unique ID and responses return
+// by ID, in any order. v1 framing (a server that declined the hello, or
+// DisablePipeline) has no ID, so the window is one request and each
+// inbound frame answers the one request in flight. A session that breaks
+// is discarded whole; Conn dials a replacement on the next request.
 type muxSession struct {
 	conn    *tls.Conn
 	metrics *metrics.Registry
+	v1      bool
 	window  chan struct{} // in-flight slots
 
 	writeMu sync.Mutex
+	wbuf    []byte // reused request frame buffer; guarded by writeMu
 
 	mu       sync.Mutex
 	pending  map[uint64]chan muxResult
@@ -526,6 +471,9 @@ type muxSession struct {
 	// connection (silent since the request started → poison) from a
 	// merely slow response on a live one (→ fail just this request).
 	lastRead atomic.Int64
+	// closed marks a deliberate close: the teardown it causes is not a
+	// broken connection.
+	closed atomic.Bool
 
 	readerDone chan struct{}
 }
@@ -536,10 +484,11 @@ type muxResult struct {
 	err     error
 }
 
-func newMuxSession(conn *tls.Conn, window int, m *metrics.Registry) *muxSession {
+func newMuxSession(conn *tls.Conn, v1 bool, window int, m *metrics.Registry) *muxSession {
 	s := &muxSession{
 		conn:       conn,
 		metrics:    m,
+		v1:         v1,
 		window:     make(chan struct{}, window),
 		pending:    make(map[uint64]chan muxResult),
 		pushSubs:   make(map[uint64]*Subscription),
@@ -551,21 +500,32 @@ func newMuxSession(conn *tls.Conn, window int, m *metrics.Registry) *muxSession 
 }
 
 // readLoop routes every inbound frame to the caller registered under its
-// request ID. It blocks without a read deadline: per-request timeouts
-// live with the callers, and a server-side idle close simply ends the
-// session (the next request redials). Any read error poisons the whole
-// session — frames are self-delimiting, so a failed read means the
-// stream can no longer be trusted.
+// request ID (in v1, to the one request in flight). It blocks without a
+// read deadline: per-request timeouts live with the callers, and a
+// server-side idle close simply ends the session (the next request
+// redials). Any read error poisons the whole session — frames are
+// self-delimiting, so a failed read means the stream can no longer be
+// trusted.
 func (s *muxSession) readLoop() {
 	defer close(s.readerDone)
 	for {
-		id, t, payload, err := wire.ReadFrameV2(s.conn)
+		var (
+			id      uint64
+			t       wire.MsgType
+			payload []byte
+			err     error
+		)
+		if s.v1 {
+			t, payload, err = wire.ReadFrame(s.conn)
+		} else {
+			id, t, payload, err = wire.ReadFrameV2(s.conn)
+		}
 		if err != nil {
 			s.fail(&connFailure{fmt.Errorf("client: reading response: %w", err)})
 			return
 		}
 		s.lastRead.Store(time.Now().UnixNano())
-		if wire.IsPushID(id) {
+		if !s.v1 && wire.IsPushID(id) {
 			// Server-initiated frame: route by subscription ID instead of a
 			// pending request. Anything in the push range that is not a
 			// well-formed notification matching its envelope ID means the
@@ -595,6 +555,11 @@ func (s *muxSession) readLoop() {
 			continue
 		}
 		s.mu.Lock()
+		if s.v1 {
+			// With a window of one, the latest request is the only one
+			// that can be waiting.
+			id = s.nextID
+		}
 		ch, ok := s.pending[id]
 		if ok {
 			delete(s.pending, id)
@@ -602,8 +567,11 @@ func (s *muxSession) readLoop() {
 		s.mu.Unlock()
 		if ok {
 			ch <- muxResult{t: t, payload: payload} // buffered; never blocks
+		} else if s.v1 {
+			s.fail(&connFailure{fmt.Errorf("client: unsolicited v1 frame type %d", t)})
+			return
 		}
-		// An unknown ID is a response to a request we abandoned on
+		// An unknown v2 ID is a response to a request we abandoned on
 		// timeout; the frame is complete, so the stream stays in sync.
 	}
 }
@@ -624,7 +592,7 @@ func (s *muxSession) fail(err error) {
 	s.pushSubs = make(map[uint64]*Subscription)
 	s.mu.Unlock()
 	s.conn.Close()
-	if s.metrics != nil {
+	if s.metrics != nil && !s.closed.Load() {
 		s.metrics.ClientBrokenConns.Add(1)
 	}
 	for _, ch := range parked {
@@ -679,10 +647,7 @@ func (s *muxSession) do(t wire.MsgType, payload []byte, wantType wire.MsgType, t
 	s.mu.Unlock()
 
 	s.writeMu.Lock()
-	err := s.conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err == nil {
-		err = wire.WriteFrameV2(s.conn, id, t, payload)
-	}
+	err := s.writeFrame(id, t, payload, timeout)
 	s.writeMu.Unlock()
 	if err != nil {
 		s.forget(id)
@@ -701,16 +666,51 @@ func (s *muxSession) do(t wire.MsgType, payload []byte, wantType wire.MsgType, t
 		return interpret(res.t, res.payload, wantType)
 	case <-timer.C:
 		s.forget(id)
-		if s.lastRead.Load() < start.UnixNano() {
+		var cf *connFailure
+		switch {
+		case s.v1:
+			// No request ID: a late response would be read as the next
+			// request's, so the connection cannot be reused.
+			cf = &connFailure{errors.New("client: request timed out on a v1 connection")}
+		case s.lastRead.Load() < start.UnixNano():
 			// Not one frame since before this request began: the
 			// connection is dead, not slow.
-			cf := &connFailure{errors.New("client: request timed out on a silent connection")}
-			s.fail(cf)
-			return nil, cf
+			cf = &connFailure{errors.New("client: request timed out on a silent connection")}
+		default:
+			return nil, &requestTimeout{errors.New("client: request timed out")}
 		}
-		return nil, &requestTimeout{errors.New("client: request timed out")}
+		s.fail(cf)
+		return nil, cf
 	}
 }
+
+// writeFrame builds one request frame in the session's reused buffer
+// and sends it with a single Write — one TLS record for a small frame,
+// where a vectored wire.WriteFrame falls back to two writes on a
+// *tls.Conn. Call with writeMu held.
+func (s *muxSession) writeFrame(id uint64, t wire.MsgType, payload []byte, timeout time.Duration) error {
+	var err error
+	if s.v1 {
+		s.wbuf = append(wire.BeginFrame(s.wbuf[:0]), payload...)
+		err = wire.FinishFrame(s.wbuf, 0, t)
+	} else {
+		s.wbuf = append(wire.BeginFrameV2(s.wbuf[:0]), payload...)
+		err = wire.FinishFrameV2(s.wbuf, 0, id, t)
+	}
+	if err == nil {
+		err = s.conn.SetWriteDeadline(time.Now().Add(timeout))
+	}
+	if err == nil {
+		_, err = s.conn.Write(s.wbuf)
+	}
+	if cap(s.wbuf) > maxKeptFrame {
+		s.wbuf = nil // a rare large batch; don't pin it for the session's life
+	}
+	return err
+}
+
+// maxKeptFrame caps the request buffer a session keeps between writes.
+const maxKeptFrame = 64 << 10
 
 // waitWindow blocks for an in-flight slot for at most timeout. Only a
 // full window reaches it, and its timer is stopped on return: a timer
@@ -759,6 +759,7 @@ func (s *muxSession) broken() bool {
 }
 
 func (s *muxSession) close() {
+	s.closed.Store(true)
 	s.conn.Close() // reader exits and fails any parked callers
 	<-s.readerDone
 }

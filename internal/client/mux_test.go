@@ -438,3 +438,53 @@ func TestMuxRequestsLeaveNoLiveTimers(t *testing.T) {
 		t.Errorf("heap grew by %d objects over %d requests; per-request state is being retained", after-before, n)
 	}
 }
+
+func TestSlowHelloAckDoesNotPinV1(t *testing.T) {
+	// Connection 0 acks the hello only after the client's timeout. A late
+	// ack says nothing about the server's version: the dial must fail as
+	// a connection failure, not fall back to v1 for good, and the next
+	// dial must offer the hello again and upgrade.
+	var hellos atomic.Int32
+	addr := scriptServer(t, func(i int, conn net.Conn) {
+		if i == 0 {
+			typ, _, err := wire.ReadFrame(conn)
+			if err != nil || typ != wire.TypeHello {
+				return
+			}
+			hellos.Add(1)
+			time.Sleep(600 * time.Millisecond)
+			ack := wire.Hello{Version: wire.ProtocolV2, Depth: 8}
+			wire.WriteFrame(conn, wire.TypeHelloResp, ack.Encode())
+			return
+		}
+		if !expectHello(t, conn, 0) {
+			return
+		}
+		hellos.Add(1)
+		respondQueriesV2(conn)
+	})
+	opts := Options{Timeout: 200 * time.Millisecond, MaxRetries: -1}
+	if c, err := Dial(addr, opts); err == nil {
+		c.Close()
+		t.Fatal("Dial succeeded although the hello ack came after the timeout (fell back to v1)")
+	} else if !isConnFailure(err) {
+		t.Fatalf("late hello ack: Dial error %v, want a connection failure", err)
+	}
+	c, err := Dial(addr, opts)
+	if err != nil {
+		t.Fatalf("redial after a late hello ack: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.Query(5, 1); err != nil {
+		t.Fatalf("query on the redialed conn: %v", err)
+	}
+	c.mu.Lock()
+	v1, noV2 := c.sess.v1, c.noV2
+	c.mu.Unlock()
+	if v1 || noV2 {
+		t.Errorf("after a late ack: session v1=%v noV2=%v, want a v2 session", v1, noV2)
+	}
+	if got := hellos.Load(); got != 2 {
+		t.Errorf("server saw %d hellos, want 2 (the redial offers v2 again)", got)
+	}
+}

@@ -6,10 +6,10 @@
 //
 // Pushes only exist on a pipelined (v2) connection: they arrive as
 // unsolicited frames whose request IDs sit in the reserved
-// [wire.PushIDBase, 2^64) range, and the mux reader routes them to the
-// subscription's channel instead of a pending request. A lockstep (v1)
-// connection has no frame the server could push on, so Subscribe refuses
-// it with ErrNoPush.
+// [wire.PushIDBase, 2^64) range, and the session reader routes them to
+// the subscription's channel instead of a pending request. A v1 session
+// has no frame the server could push on (every v1 frame answers the
+// request in flight), so Subscribe refuses it with ErrNoPush.
 //
 // A subscription is connection-scoped: if the session breaks (I/O error,
 // desync, Close), the server side died with the conn and the channel is
@@ -29,8 +29,8 @@ import (
 	"smatch/internal/wire"
 )
 
-// ErrNoPush is returned by Subscribe on a lockstep (v1) connection,
-// which has no channel for server-initiated frames.
+// ErrNoPush is returned by Subscribe on a v1 connection, which has no
+// channel for server-initiated frames.
 var ErrNoPush = errors.New("client: server connection is lockstep (v1); push subscriptions need the pipelined protocol")
 
 // Notification event kinds, mirroring the wire constants.
@@ -152,12 +152,11 @@ func (c *Conn) Subscribe(e match.Entry, maxDist *big.Int, buffer int) (*Subscrip
 	if buffer <= 0 {
 		buffer = 64
 	}
-	sess, err := c.getSession()
+	mux, err := c.getSession()
 	if err != nil {
 		return nil, err
 	}
-	mux, ok := sess.(*muxSession)
-	if !ok {
+	if mux.v1 {
 		return nil, ErrNoPush
 	}
 	sub := &Subscription{

@@ -1,16 +1,16 @@
-// Push delivery for the v2 pipelined protocol: each upgraded connection
-// owns a connPush — the conn-local subscription table plus a pump
-// goroutine that drains the broker's bounded per-subscription queues and
-// writes TypeMatchNotify frames through the connection's single-writer /
-// write-deadline choke point (a mutex shared with the response writer, so
+// Push delivery for upgraded (v2) connections: every connection owns a
+// connPush — the conn-local subscription table, the single-writer mutex
+// its response writer already writes under, and a pump goroutine that
+// drains the broker's bounded per-subscription queues and writes
+// TypeMatchNotify frames through the same write-deadline choke point (so
 // a push can never interleave bytes with a response).
 //
 // Subscriptions are conn-scoped by construction: they are registered by
-// the pipelined reader, keyed by the client-chosen sub ID, delivered only
-// on this connection, and torn down when the connection ends. A v1
-// connection has no connPush and no way to reach these handlers (the
-// lockstep path routes subscribe frames to the service registry, which
-// rejects them as unknown), so a v1 client can never receive a push.
+// the connection's reader, keyed by the client-chosen sub ID, delivered
+// only on this connection, and torn down when the connection ends. The
+// pump starts only when a hello upgrades the connection; before that the
+// reader passes subscribe frames to the service registry, which rejects
+// them as unknown, so a v1 client can never receive a push.
 package server
 
 import (
@@ -24,8 +24,8 @@ import (
 	"smatch/internal/wire"
 )
 
-// connPush carries one pipelined connection's subscription state and
-// push-delivery machinery.
+// connPush carries one connection's write choke point, subscription
+// state and push-delivery machinery.
 type connPush struct {
 	s    *Server
 	conn net.Conn
@@ -41,10 +41,11 @@ type connPush struct {
 	// (the conn is closed and both writer and pump only drain).
 	writeFailed atomic.Bool
 
-	wake  chan struct{} // 1-buffered: queued notifications are waiting
-	drain chan struct{} // 1-buffered: flush pending pushes, then close
-	stop  chan struct{} // closed at teardown: exit without touching conn
-	done  chan struct{} // closed when the pump goroutine exits
+	wake    chan struct{} // 1-buffered: queued notifications are waiting
+	drain   chan struct{} // 1-buffered: flush pending pushes, then close
+	stop    chan struct{} // closed at teardown: exit without touching conn
+	done    chan struct{} // closed when the pump goroutine exits
+	started bool          // the pump runs; set and read by the conn's reader
 
 	mu     sync.Mutex
 	subs   map[uint64]*broker.Sub // client-chosen sub ID -> registration
@@ -52,7 +53,7 @@ type connPush struct {
 }
 
 func newConnPush(s *Server, conn net.Conn) *connPush {
-	p := &connPush{
+	return &connPush{
 		s:      s,
 		conn:   conn,
 		wake:   make(chan struct{}, 1),
@@ -62,8 +63,13 @@ func newConnPush(s *Server, conn net.Conn) *connPush {
 		subs:   make(map[uint64]*broker.Sub),
 		remote: make(map[uint64]func()),
 	}
+}
+
+// start launches the pump; the reader calls it when a hello upgrades the
+// connection.
+func (p *connPush) start() {
+	p.started = true
 	go p.run()
-	return p
 }
 
 // wakeFn is the broker's non-blocking enqueue signal.
@@ -85,7 +91,7 @@ func (p *connPush) requestDrain() {
 }
 
 // hasSubs reports whether the connection currently holds any live
-// subscriptions; the pipelined reader uses it to keep an idle subscriber
+// subscriptions; the reader uses it to keep an idle subscriber
 // alive across read-deadline expiries.
 func (p *connPush) hasSubs() bool {
 	p.mu.Lock()
@@ -97,10 +103,12 @@ func (p *connPush) hasSubs() bool {
 func (p *connPush) nSubsLocked() int { return len(p.subs) + len(p.remote) }
 
 // teardown ends the pump and deregisters every subscription. Called once
-// when the pipelined loop exits; subscriptions die with their conn.
+// when the connection's loop exits; subscriptions die with their conn.
 func (p *connPush) teardown() {
 	close(p.stop)
-	<-p.done
+	if p.started {
+		<-p.done
+	}
 	p.mu.Lock()
 	subs := p.subs
 	remote := p.remote
@@ -208,7 +216,7 @@ func (p *connPush) writeNotify(msg wire.MatchNotify) bool {
 }
 
 // handleSubscribe registers a standing probe for this connection. Runs on
-// the pipelined reader (registration is a map insert — no store access,
+// the connection's reader (registration is a map insert — no store access,
 // no I/O), so a subscription is active before any later frame on the same
 // connection is processed. payload aliases the reader's reusable buffer,
 // so anything registered past this call (the broker's probe, a remote

@@ -6,6 +6,11 @@
 // The server is "untrusted" in the protocol sense: nothing it stores or
 // computes requires it to see plaintext profiles. TLS protects the channel
 // from third parties (the paper's SSL socket), not from the server itself.
+//
+// Every connection runs one request lifecycle (Server.handle). It starts
+// in v1 framing with one request in flight, and a hello upgrades it to
+// the pipelined v2 framing: concurrent workers, out-of-order responses
+// by request ID, and push notifications (push.go).
 package server
 
 import (
@@ -148,15 +153,13 @@ type Server struct {
 
 // connState tracks whether a connection is mid-request, so a graceful
 // drain can close idle connections immediately while letting busy ones
-// finish their in-flight requests. busy covers the v1 lockstep path
-// (at most one request at a time); inflight counts requests live on the
-// v2 pipelined path (accepted by the reader, response not yet written).
-// drainFn, when set (pipelined connections with a push pump), replaces a
-// direct conn.Close() on the graceful-drain path: it flushes queued push
+// finish their in-flight requests. inflight counts requests accepted by
+// the reader whose response is not yet written. drainFn, when set
+// (upgraded connections with a push pump), replaces a direct
+// conn.Close() on the graceful-drain path: it flushes queued push
 // notifications before closing, and must never block.
 type connState struct {
 	mu       sync.Mutex
-	busy     bool
 	inflight int
 	closing  bool
 	drainFn  func()
@@ -295,8 +298,9 @@ func (s *Server) Serve(ctx context.Context) error {
 			select {
 			case s.sem <- struct{}{}:
 			default:
-				conn.Close()
+				// Count before closing: the dialer sees the close at once.
 				s.metrics.ConnsRejected.Add(1)
+				conn.Close()
 				continue
 			}
 		}
@@ -365,7 +369,7 @@ func (s *Server) Shutdown() error {
 	for conn, st := range states {
 		st.mu.Lock()
 		st.closing = true
-		if !st.busy && st.inflight == 0 {
+		if st.inflight == 0 {
 			// Idle: the handler is parked in its read loop; unblock it now.
 			// A connection with a push pump gets a final notification flush
 			// first (drainFn never blocks).
@@ -400,6 +404,27 @@ func (s *Server) Shutdown() error {
 	}
 }
 
+// handle is a connection's one request lifecycle: this goroutine reads
+// frames, a single writer goroutine serializes every response (and every
+// push) through the write-deadline choke point, and worker goroutines in
+// between run the service handlers.
+//
+// A connection starts in v1 framing at depth 1. v1 frames carry no
+// request ID, so the reader runs each request itself and reads the next
+// frame only once the response is on the wire: one request in flight is
+// what keeps v1 responses in order, and the read deadline spans exactly
+// the idle time between requests. A hello switches the connection to v2
+// framing at the negotiated depth: depth workers execute requests
+// concurrently, responses go out in completion order under the client's
+// request IDs, and the push pump starts.
+//
+// Frames that change connection state — the v1 hello and v2
+// subscribe/unsubscribe — are handled on the reader, not a worker:
+// ordering is the point. Every frame the reader accepts after one of them
+// sees its effect, so an upload pipelined behind a subscribe on the same
+// connection is guaranteed to be evaluated against it. A v1 connection
+// has no push pump, so subscribe frames there go to the service registry,
+// which rejects them as unknown types.
 func (s *Server) handle(conn net.Conn, st *connState) {
 	s.metrics.TotalConns.Add(1)
 	s.metrics.ActiveConns.Add(1)
@@ -410,268 +435,12 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	// Per-connection grow-only buffers: rbuf holds each inbound frame
-	// (payloads alias it, valid until the next read), wbuf each outbound
-	// frame (header + payload built in place, one Write). Lockstep means
-	// at most one of each in use, so no pooling is needed here.
-	var rbuf, wbuf []byte
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
-			return
-		}
-		t, payload, err := wire.ReadFrameBuf(conn, &rbuf)
-		if err != nil {
-			if isTimeout(err) {
-				s.metrics.ReadTimeouts.Add(1)
-			}
-			return // EOF, timeout or protocol garbage: drop the connection
-		}
-		st.mu.Lock()
-		if st.closing {
-			// Raced the drain boundary: the request arrived as shutdown
-			// closed this (idle) connection. Drop it — the client sees a
-			// connection error and retries if the request was idempotent.
-			st.mu.Unlock()
-			return
-		}
-		st.busy = true
-		st.mu.Unlock()
-
-		var derr error
-		if t == wire.TypeHello {
-			depth, herr := s.acceptHello(conn, payload)
-			if herr == nil {
-				// Upgraded: hand the connection to the pipelined engine,
-				// which does its own inflight accounting from here on.
-				st.mu.Lock()
-				st.busy = false
-				closing := st.closing
-				st.mu.Unlock()
-				if closing {
-					s.metrics.ConnsDrained.Add(1)
-					return
-				}
-				s.metrics.PipelinedConns.Add(1)
-				s.servePipelined(conn, st, depth)
-				return
-			}
-			// A malformed hello (or a torn ack write) flows into the
-			// ordinary error path below; the connection stays lockstep.
-			derr = herr
-		} else {
-			frame := wire.BeginFrame(wbuf[:0])
-			rt, body, herr := s.svc.Handle(t, payload, frame)
-			if herr == nil {
-				frame = body
-				if herr = wire.FinishFrame(frame, 0, rt); herr == nil {
-					wbuf = frame
-					herr = s.writeRawFrame(conn, frame)
-				}
-			}
-			derr = herr
-		}
-		fatal := false
-		if derr != nil {
-			s.metrics.Errors.Add(1)
-			s.cfg.Logf("server: %v", derr)
-			var cerr *connError
-			if errors.As(derr, &cerr) {
-				// The response write itself failed; the stream may hold a
-				// partial frame, so the connection is unusable.
-				fatal = true
-			} else if werr := s.writeError(conn, derr); werr != nil {
-				fatal = true
-			}
-		}
-		st.mu.Lock()
-		st.busy = false
-		closing := st.closing
-		st.mu.Unlock()
-		if fatal {
-			return
-		}
-		if closing {
-			s.metrics.ConnsDrained.Add(1)
-			return
-		}
-	}
-}
-
-// connError marks a failure of the connection itself (as opposed to the
-// request), so handle drops the connection instead of trying to send an
-// error frame over a possibly half-written stream.
-type connError struct{ err error }
-
-func (e *connError) Error() string { return e.err.Error() }
-func (e *connError) Unwrap() error { return e.err }
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// writeFrame sends one response frame under the write deadline, so a
-// client that stops draining its socket cannot park this goroutine
-// forever. A failure poisons the stream and is wrapped in connError.
-func (s *Server) writeFrame(conn net.Conn, t wire.MsgType, payload []byte) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
-		return &connError{err}
-	}
-	if err := wire.WriteFrame(conn, t, payload); err != nil {
-		if isTimeout(err) {
-			s.metrics.WriteTimeouts.Add(1)
-		}
-		return &connError{err}
-	}
-	return nil
-}
-
-// writeRawFrame sends one pre-built frame — header already backfilled by
-// FinishFrame/FinishFrameV2 — as a single conn.Write (one syscall, one
-// TLS record), under the same write deadline, timeout accounting, and
-// connError poisoning as writeFrame. Every hot-path response and push
-// goes out through here.
-func (s *Server) writeRawFrame(conn net.Conn, frame []byte) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
-		return &connError{err}
-	}
-	if _, err := conn.Write(frame); err != nil {
-		if isTimeout(err) {
-			s.metrics.WriteTimeouts.Add(1)
-		}
-		return &connError{err}
-	}
-	return nil
-}
-
-// acceptHello negotiates the v2 upgrade: decode the client's hello,
-// clamp its requested window to PipelineDepth, and ack in v1 framing —
-// the last v1 frame on the connection.
-func (s *Server) acceptHello(conn net.Conn, payload []byte) (int, error) {
-	hello, err := wire.DecodeHello(payload)
-	if err != nil {
-		return 0, err
-	}
-	depth := s.cfg.PipelineDepth
-	if d := int(hello.Depth); d > 0 && d < depth {
-		depth = d
-	}
-	ack := wire.Hello{Version: wire.ProtocolV2, Depth: uint16(depth)}
-	if err := s.writeFrame(conn, wire.TypeHelloResp, ack.Encode()); err != nil {
-		return 0, err
-	}
-	return depth, nil
-}
-
-// bufPool recycles the pipelined path's frame buffers: request buffers
-// (filled by the reader, released by the worker once its handler
-// returns) and response buffers (filled by a worker with a complete v2
-// frame, released by the writer after the frame is on the wire). Pooled
-// as *[]byte so a Put never allocates a fresh slice header.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
-func putBuf(b *[]byte) { bufPool.Put(b) }
-
-// pipelineJob is one request travelling from the reader to a worker;
-// pipelineResp is its response travelling from a worker to the writer.
-// A job's payload aliases *buf, which the worker returns to bufPool
-// after its handler is done with it; a resp's frame is complete (header
-// backfilled) and aliases *buf, returned to the pool by the writer after
-// the write — never before, so a frame can't be scribbled on mid-write.
-type pipelineJob struct {
-	id      uint64
-	t       wire.MsgType
-	buf     *[]byte
-	payload []byte
-}
-
-type pipelineResp struct {
-	frame []byte
-	buf   *[]byte
-}
-
-// sealResp finalizes one pipelined response: frame was produced by
-// BeginFrameV2 at offset 0, body is the handler's returned buffer (frame
-// grown by the encoded payload) or nil on error. Handler errors become
-// error frames carrying the request's ID — never a dropped connection —
-// and an oversized response is downgraded to an error frame the same
-// way, since the header was never written.
-func (s *Server) sealResp(frame []byte, id uint64, rt wire.MsgType, body []byte, herr error) []byte {
-	if herr == nil {
-		frame = body
-	} else {
-		s.metrics.Errors.Add(1)
-		s.cfg.Logf("server: %v", herr)
-		rt = wire.TypeError
-		frame = (&wire.ErrorMsg{Text: herr.Error()}).AppendEncode(frame[:wire.FrameHeaderLenV2])
-	}
-	if ferr := wire.FinishFrameV2(frame, 0, id, rt); ferr != nil {
-		s.metrics.Errors.Add(1)
-		s.cfg.Logf("server: %v", ferr)
-		frame = (&wire.ErrorMsg{Text: ferr.Error()}).AppendEncode(frame[:wire.FrameHeaderLenV2])
-		wire.FinishFrameV2(frame, 0, id, wire.TypeError) // an error text always fits
-	}
-	return frame
-}
-
-// processJob runs one pipelined request through its handler and builds
-// the complete response frame in a pooled buffer. The request buffer is
-// released as soon as the handler returns — the service layer's buffer
-// contract (DESIGN §16) guarantees nothing retains the payload past
-// that point.
-func (s *Server) processJob(job pipelineJob) pipelineResp {
-	out := getBuf()
-	frame := wire.BeginFrameV2((*out)[:0])
-	rt, body, err := s.svc.Handle(job.t, job.payload, frame)
-	if job.buf != nil {
-		putBuf(job.buf)
-	}
-	frame = s.sealResp(frame, job.id, rt, body, err)
-	*out = frame
-	return pipelineResp{frame: frame, buf: out}
-}
-
-// servePipelined runs the v2 protocol on an upgraded connection: a
-// reader goroutine feeding a bounded job queue, depth workers executing
-// service handlers concurrently, and a single writer goroutine
-// serializing every response through the write-deadline choke point.
-// Request IDs are the client's; responses complete (and are written) in
-// whatever order the handlers finish.
-//
-// The connection also carries push-based matching: the reader handles
-// subscribe/unsubscribe frames inline (registration is a map insert, so
-// a subscription is live before any later frame on the same connection),
-// and a per-connection pump (see push.go) writes TypeMatchNotify frames
-// through the same write choke point — push.writeMu serializes the
-// writer goroutine and the pump against each other.
-func (s *Server) servePipelined(conn net.Conn, st *connState, depth int) {
 	push := newConnPush(s, conn)
-	st.mu.Lock()
-	alreadyClosing := st.closing
-	if !alreadyClosing {
-		st.drainFn = push.requestDrain
-	}
-	st.mu.Unlock()
-	if alreadyClosing {
-		// Shutdown won the race between the hello ack and here; it already
-		// closed (or will close) the conn directly.
-		push.teardown()
-		return
-	}
-	jobs := make(chan pipelineJob, depth)
-	resps := make(chan pipelineResp, depth)
-	var workers sync.WaitGroup
-	for i := 0; i < depth; i++ {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			for job := range jobs {
-				s.metrics.PipelineQueueDepth.Add(-1)
-				resps <- s.processJob(job)
-			}
-		}()
-	}
+	// written wakes a v1 reader parked until its response is on the wire.
+	written := sync.NewCond(&st.mu)
+	// One slot per possible worker, so a worker whose response is done
+	// rarely waits on the writer.
+	resps := make(chan pipelineResp, s.cfg.PipelineDepth)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -697,16 +466,23 @@ func (s *Server) servePipelined(conn net.Conn, st *connState, depth int) {
 			st.inflight--
 			drained := st.closing && st.inflight == 0
 			st.mu.Unlock()
+			written.Signal()
 			if drained && !push.writeFailed.Load() {
 				// Graceful drain: every accepted request has its response on
 				// the wire; the pump flushes pending pushes and closes the
-				// conn, which unblocks the reader.
+				// conn, which unblocks the reader. (Before an upgrade there
+				// is no pump and the reader closes the conn itself.)
 				push.requestDrain()
 			}
 		}
 	}()
-	reader := &countingReader{r: conn}
-	var rbuf *[]byte // pooled read buffer; handed off with each job
+	var (
+		v1      = true
+		jobs    chan pipelineJob // created by the upgrade; v1 runs requests on the reader
+		workers sync.WaitGroup
+		reader  = &countingReader{r: conn}
+		rbuf    *[]byte // pooled read buffer; handed off with each v2 job
+	)
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
 			break
@@ -715,7 +491,17 @@ func (s *Server) servePipelined(conn net.Conn, st *connState, depth int) {
 			rbuf = getBuf()
 		}
 		frameStart := reader.n
-		id, t, payload, err := wire.ReadFrameV2Buf(reader, rbuf)
+		var (
+			id      uint64
+			t       wire.MsgType
+			payload []byte
+			err     error
+		)
+		if v1 {
+			t, payload, err = wire.ReadFrameBuf(reader, rbuf)
+		} else {
+			id, t, payload, err = wire.ReadFrameV2Buf(reader, rbuf)
+		}
 		if err != nil {
 			if isTimeout(err) {
 				// A standing subscriber is legitimately quiet: it registered a
@@ -730,59 +516,237 @@ func (s *Server) servePipelined(conn net.Conn, st *connState, depth int) {
 				}
 				s.metrics.ReadTimeouts.Add(1)
 			}
-			break
+			break // EOF, timeout or protocol garbage: drop the connection
 		}
 		st.mu.Lock()
 		if st.closing {
-			// Raced the drain boundary: drop the request, exactly like the
-			// lockstep path drops a frame arriving on a closing conn.
+			// Raced the drain boundary: the request arrived as shutdown
+			// closed this (idle) connection. Drop it — the client sees a
+			// connection error and retries if the request was idempotent.
 			st.mu.Unlock()
 			break
 		}
 		st.inflight++
 		st.mu.Unlock()
-		switch t {
-		case wire.TypeSubscribeReq, wire.TypeUnsubscribeReq:
-			// Handled on the reader, not a worker: ordering is the point.
-			// Every frame the reader accepts after this one sees the
-			// registration, so an upload pipelined behind a subscribe on the
-			// same connection is guaranteed to be evaluated against it. The
-			// read buffer is reused on the next iteration — both handlers
-			// copy anything they retain (see handleSubscribe).
-			out := getBuf()
-			frame := wire.BeginFrameV2((*out)[:0])
-			var (
-				rt   wire.MsgType
-				body []byte
-				herr error
-			)
-			if t == wire.TypeSubscribeReq {
-				rt, body, herr = s.handleSubscribe(push, payload, frame)
-			} else {
-				rt, body, herr = s.handleUnsubscribe(push, payload, frame)
-			}
-			frame = s.sealResp(frame, id, rt, body, herr)
-			*out = frame
-			resps <- pipelineResp{frame: frame, buf: out}
+		depth := 0 // set by an accepted hello
+		switch {
+		case v1 && t == wire.TypeHello,
+			!v1 && (t == wire.TypeSubscribeReq || t == wire.TypeUnsubscribeReq):
+			var resp pipelineResp
+			resp, depth = s.readerResp(push, v1, id, t, payload)
+			resps <- resp
+		case v1:
+			// The reader reuses rbuf for the next frame, which it reads only
+			// after this response is written.
+			resps <- s.processJob(pipelineJob{t: t, payload: payload, v1: true})
 		default:
 			s.metrics.PipelineQueueDepth.Add(1)
 			jobs <- pipelineJob{id: id, t: t, buf: rbuf, payload: payload}
 			rbuf = nil // the worker releases it after handling
 		}
+		if !v1 {
+			continue
+		}
+		st.mu.Lock()
+		for st.inflight > 0 {
+			written.Wait()
+		}
+		closing := st.closing
+		if depth > 0 && !closing {
+			st.drainFn = push.requestDrain
+		}
+		st.mu.Unlock()
+		if push.writeFailed.Load() {
+			break
+		}
+		if closing {
+			s.metrics.ConnsDrained.Add(1)
+			break
+		}
+		if depth > 0 {
+			// Upgraded: the ack was the last v1 frame on the connection.
+			s.metrics.PipelinedConns.Add(1)
+			v1 = false
+			jobs = make(chan pipelineJob, depth)
+			for i := 0; i < depth; i++ {
+				workers.Add(1)
+				go func() {
+					defer workers.Done()
+					for job := range jobs {
+						s.metrics.PipelineQueueDepth.Add(-1)
+						resps <- s.processJob(job)
+					}
+				}()
+			}
+			push.start()
+		}
 	}
 	if rbuf != nil {
 		putBuf(rbuf)
 	}
-	close(jobs)
+	if jobs != nil {
+		close(jobs)
+	}
 	workers.Wait()
 	close(resps)
 	<-writerDone
 	push.teardown()
 }
 
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// writeRawFrame sends one complete frame — header already backfilled by
+// sealResp or FinishFrameV2 — as a single conn.Write (one syscall, one
+// TLS record) under the write deadline, so a client that stops draining
+// its socket cannot park the writer forever. Every response and push goes
+// out through here; a failure leaves the stream torn mid-frame.
+func (s *Server) writeRawFrame(conn net.Conn, frame []byte) error {
+	if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
+		return err
+	}
+	if _, err := conn.Write(frame); err != nil {
+		if isTimeout(err) {
+			s.metrics.WriteTimeouts.Add(1)
+		}
+		return err
+	}
+	return nil
+}
+
+// acceptHello negotiates the v2 upgrade: decode the client's hello and
+// clamp its requested window to PipelineDepth. The ack, appended to resp,
+// goes out in v1 framing — the last v1 frame on the connection.
+func (s *Server) acceptHello(payload, resp []byte) (int, wire.MsgType, []byte, error) {
+	hello, err := wire.DecodeHello(payload)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	depth := s.cfg.PipelineDepth
+	if d := int(hello.Depth); d > 0 && d < depth {
+		depth = d
+	}
+	ack := wire.Hello{Version: wire.ProtocolV2, Depth: uint16(depth)}
+	return depth, wire.TypeHelloResp, ack.AppendEncode(resp), nil
+}
+
+// bufPool recycles frame buffers: request buffers (filled by the reader,
+// released by the worker once its handler returns) and response buffers
+// (filled with a complete frame, released by the writer after the frame
+// is on the wire). Pooled as *[]byte so a Put never allocates a fresh
+// slice header.
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
+func putBuf(b *[]byte) { bufPool.Put(b) }
+
+// pipelineJob is one request travelling from the reader to a worker;
+// pipelineResp is its response travelling to the writer. A job's payload
+// aliases *buf (nil when the reader keeps its buffer, as in v1), which
+// the worker returns to bufPool after its handler is done with it; a
+// resp's frame is complete (header backfilled) and aliases *buf, returned
+// to the pool by the writer after the write — never before, so a frame
+// can't be scribbled on mid-write. v1 selects v1 response framing; the
+// zero value is v2.
+type pipelineJob struct {
+	id      uint64
+	t       wire.MsgType
+	buf     *[]byte
+	payload []byte
+	v1      bool
+}
+
+type pipelineResp struct {
+	frame []byte
+	buf   *[]byte
+}
+
+// beginFrame and finishFrame build a response frame in the connection's
+// current framing; v1 has no request ID, so id is ignored there.
+func beginFrame(buf []byte, v1 bool) []byte {
+	if v1 {
+		return wire.BeginFrame(buf)
+	}
+	return wire.BeginFrameV2(buf)
+}
+
+func finishFrame(frame []byte, v1 bool, id uint64, t wire.MsgType) error {
+	if v1 {
+		return wire.FinishFrame(frame, 0, t)
+	}
+	return wire.FinishFrameV2(frame, 0, id, t)
+}
+
+// sealResp finalizes one response in the pooled buffer out: frame was
+// produced by beginFrame at offset 0, body is the handler's returned
+// buffer (frame grown by the encoded payload) or nil on error. Handler
+// errors become error frames (carrying the request's ID on v2) — never a
+// dropped connection — and an oversized response is downgraded to an
+// error frame the same way, since the header was never written.
+func (s *Server) sealResp(out *[]byte, frame []byte, v1 bool, id uint64, rt wire.MsgType, body []byte, herr error) pipelineResp {
+	if herr == nil {
+		frame = body
+	} else {
+		s.metrics.Errors.Add(1)
+		s.cfg.Logf("server: %v", herr)
+		rt = wire.TypeError
+		frame = (&wire.ErrorMsg{Text: herr.Error()}).AppendEncode(beginFrame(frame[:0], v1))
+	}
+	if ferr := finishFrame(frame, v1, id, rt); ferr != nil {
+		s.metrics.Errors.Add(1)
+		s.cfg.Logf("server: %v", ferr)
+		frame = (&wire.ErrorMsg{Text: ferr.Error()}).AppendEncode(beginFrame(frame[:0], v1))
+		finishFrame(frame, v1, id, wire.TypeError) // an error text always fits
+	}
+	*out = frame
+	return pipelineResp{frame: frame, buf: out}
+}
+
+// processJob runs one request through its service handler and builds
+// the complete response frame in a pooled buffer. The request buffer is
+// released as soon as the handler returns — the service layer's buffer
+// contract (DESIGN §16) guarantees nothing retains the payload past
+// that point.
+func (s *Server) processJob(job pipelineJob) pipelineResp {
+	out := getBuf()
+	frame := beginFrame((*out)[:0], job.v1)
+	rt, body, err := s.svc.Handle(job.t, job.payload, frame)
+	if job.buf != nil {
+		putBuf(job.buf)
+	}
+	return s.sealResp(out, frame, job.v1, job.id, rt, body, err)
+}
+
+// readerResp runs one of the frames the reader handles itself (a v1
+// hello, a v2 subscribe or unsubscribe) and builds its response in a
+// pooled buffer; for an accepted hello it also returns the negotiated
+// depth. payload aliases the reader's reusable buffer, so the handlers
+// copy anything they retain (see handleSubscribe).
+func (s *Server) readerResp(p *connPush, v1 bool, id uint64, t wire.MsgType, payload []byte) (pipelineResp, int) {
+	out := getBuf()
+	frame := beginFrame((*out)[:0], v1)
+	var (
+		depth int
+		rt    wire.MsgType
+		body  []byte
+		err   error
+	)
+	switch t {
+	case wire.TypeHello:
+		depth, rt, body, err = s.acceptHello(payload, frame)
+	case wire.TypeSubscribeReq:
+		rt, body, err = s.handleSubscribe(p, payload, frame)
+	default:
+		rt, body, err = s.handleUnsubscribe(p, payload, frame)
+	}
+	return s.sealResp(out, frame, v1, id, rt, body, err), depth
+}
+
 // countingReader tracks how many bytes have been consumed, letting the
-// pipelined reader distinguish an idle read timeout (safe to retry) from
-// one that fired mid-frame (stream desynced, conn must die).
+// reader distinguish an idle read timeout (safe to retry) from one that
+// fired mid-frame (stream desynced, conn must die).
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -792,11 +756,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-func (s *Server) writeError(conn net.Conn, err error) error {
-	msg := wire.ErrorMsg{Text: err.Error()}
-	return s.writeFrame(conn, wire.TypeError, msg.Encode())
 }
 
 // SelfSignedCert generates an ephemeral ECDSA certificate for the TLS

@@ -7,10 +7,9 @@
 // The package is transport-agnostic on purpose: a handler maps a request
 // payload to a response frame (type + payload) or an error, and never
 // touches a connection. That is what lets the server run the same
-// registry behind both protocol paths — the v1 lockstep loop (one frame
-// in, one frame out) and the v2 pipelined path (a reader goroutine, a
-// bounded worker pool executing handlers concurrently, and a single
-// writer serializing responses) — with guaranteed-identical semantics.
+// registry behind both protocol framings — v1 (one request in flight)
+// and v2 (a bounded worker pool executing handlers concurrently) — in
+// one request lifecycle, with guaranteed-identical semantics.
 package service
 
 import (
